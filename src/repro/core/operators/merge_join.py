@@ -16,13 +16,20 @@ Output OVC rules (all integer arithmetic):
   output row and the recent rows that failed the predicate");
 - secondary outputs of a multi-match (duplicate join keys) carry the
   duplicate code.
+
+``merge_join`` is the row-wise reference that counts comparisons;
+``merge_join_arrays`` is the vectorized kernel over an already merged,
+tagged block (the Spark executors' input), with identical output.
 """
 from __future__ import annotations
 
 from enum import Enum
 from typing import Iterable, Iterator
 
-from repro.core.ovc import OvcSpec
+import numpy as np
+
+from repro.core.operators.filterop import filter_codes_vectorized
+from repro.core.ovc import OvcSpec, encode_sorted_array
 from repro.core.stats import CompareStats
 from repro.core.tree_of_losers import OvcLoserTree
 
@@ -114,6 +121,60 @@ def merge_join(
         yield key, out_code(code), emit[0]
         for payload in emit[1:]:
             yield key, spec.duplicate_code, payload
+
+
+def merge_join_arrays(
+    keys: np.ndarray,
+    tags: np.ndarray,
+    spec: OvcSpec,
+    join_type: JoinType = JoinType.INNER,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Vectorized ``merge_join`` over one merged block of both inputs.
+
+    ``keys`` is an (n, arity) array sorted on (key, tag) and ``tags``
+    marks each row's side (0 left, 1 right), so within an equal-key
+    group the left rows come first. One encoding pass over the merged
+    block finds the groups: a group starts at every row whose code is
+    not the duplicate code (Section 4.7). Returns ``(left_idx,
+    right_idx, codes)``: row positions into the block for each output
+    row, in ``merge_join``'s order, and the output codes. ``right_idx``
+    is None for semi/anti joins and -1 where a left-outer row has no
+    match.
+    """
+    tags = np.asarray(tags)
+    codes = encode_sorted_array(keys, spec)
+    is_start = codes != spec.duplicate_code
+    if len(tags) > 1 and (tags[1:] < tags[:-1])[~is_start[1:]].any():
+        raise ValueError("right rows precede left rows of an equal key")
+    starts = np.flatnonzero(is_start)
+    gid = np.cumsum(is_start) - 1
+    lcount = np.bincount(gid, weights=tags == 0,
+                         minlength=len(starts)).astype(np.int64)
+    rcount = np.diff(np.append(starts, len(codes))) - lcount
+    matched = (lcount > 0) & (rcount > 0)
+    if join_type is JoinType.LEFT_SEMI:
+        counts = np.where(matched, lcount, 0)
+    elif join_type is JoinType.LEFT_ANTI:
+        counts = np.where(matched, 0, lcount)
+    elif join_type is JoinType.INNER:
+        counts = np.where(matched, lcount * rcount, 0)
+    else:  # LEFT_OUTER
+        counts = np.where(matched, lcount * rcount, lcount)
+    # Output row t of group g pairs left row t % l with right row t // l
+    # (right-major, like merge_join's nested loop).
+    out_starts = np.cumsum(counts) - counts
+    g = np.repeat(np.arange(len(starts)), counts)
+    t = np.arange(len(g)) - out_starts[g]
+    lg = lcount[g]
+    left_idx = starts[g] + t % lg
+    right_idx = None
+    if join_type in (JoinType.INNER, JoinType.LEFT_OUTER):
+        right_idx = np.where(matched[g], starts[g] + lg + t // lg, -1)
+    out_codes = np.full(len(g), spec.duplicate_code, dtype=np.int64)
+    emit = counts > 0
+    out_codes[out_starts[emit]] = filter_codes_vectorized(
+        codes[starts], emit, spec)
+    return left_idx, right_idx, out_codes
 
 
 def intersect_distinct(

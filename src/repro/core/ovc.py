@@ -212,6 +212,9 @@ def encode_sorted_array(
     previous block) or primed at offset 0 when ``prev_key`` is None.
     Returns an (n,) int64 array of codes. This is the per-partition
     executor kernel used by ``sparkops.ovc_column.attach_ovc``.
+
+    Raises ``ValueError`` when a key value lies outside ``[0, base)``:
+    such a value would pack into another offset's code range.
     """
     if spec.descending:
         raise NotImplementedError("vectorized path implements ascending codes")
@@ -223,6 +226,11 @@ def encode_sorted_array(
     if spec.arity * spec.base + (spec.base - 1) > np.iinfo(np.int64).max:
         raise ValueError("arity * base does not fit in int64")
     keys = np.asarray(keys, dtype=np.int64)
+    lo, hi = keys.min(), keys.max()
+    if lo < 0 or hi >= spec.base:
+        raise ValueError(
+            f"key value {lo if lo < 0 else hi} out of domain [0, {spec.base})"
+        )
     diff = np.empty((n, k), dtype=bool)
     if prev_key is None:
         diff[0, :] = True  # virtual -inf predecessor: differs at offset 0

@@ -228,6 +228,14 @@ class TestVectorized:
         with pytest.raises(ValueError):
             encode_sorted_array(np.zeros((3, 2), dtype=np.int64), OvcSpec(3, 10))
 
+    def test_encode_rejects_keys_outside_domain(self):
+        # Regression: negative keys packed below the offset-0 codes, so
+        # grouping [[-7, 0], [-5, 0]] on k0 found one group, not two.
+        with pytest.raises(ValueError, match="out of domain"):
+            encode_sorted_array(np.array([[-7, 0], [-5, 0]]), OvcSpec(2))
+        with pytest.raises(ValueError, match="out of domain"):
+            encode_sorted_array(np.array([[3, 9], [3, 10]]), OvcSpec(2, 10))
+
 
 class TestSharedPrefix:
     def test_basic(self):

@@ -1,10 +1,12 @@
 """Spark-level tests: the ``_ovc`` column, in-stream aggregation,
 duplicate removal, merge joins, and intersect — all result-checked
-against DuckDB via the oracle.
+against DuckDB via the oracle, and the joins' ``_ovc`` re-encoded per
+partition.
 """
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import PythonException
 from pyspark.sql import functions as F
 
 from repro.core.ovc import OvcSpec, encode_sorted_array
@@ -15,6 +17,18 @@ from repro.sparkops.ovc_column import OVC_COL, attach_ovc, check_ovc
 from repro.synth_data import uniform_keys, webkeys
 
 KEYS4 = ["k0", "k1", "k2", "k3"]
+
+
+def assert_partition_codes(out, keys):
+    """Every partition's ``_ovc`` equals the brute-force re-encoding of
+    its output keys in partition order."""
+    pdf = out.withColumn("_pid", F.spark_partition_id()).toPandas()
+    spec = OvcSpec(len(keys))
+    for _, part in pdf.groupby("_pid"):
+        arr = part[keys].to_numpy(dtype=np.int64)
+        assert (encode_sorted_array(arr, spec) ==
+                part[OVC_COL].to_numpy()).all()
+    return pdf
 
 
 @pytest.fixture(scope="module")
@@ -28,14 +42,8 @@ class TestAttachOvc:
         assert check_ovc(coded, KEYS4)
 
     def test_partition_streams_are_sorted_and_coded(self, spark, web_df):
-        coded = attach_ovc(web_df, KEYS4, num_partitions=4) \
-            .withColumn("pid", F.spark_partition_id()).toPandas()
-        spec = OvcSpec(4)
-        assert coded["pid"].nunique() > 1
-        for _, pdf in coded.groupby("pid"):
-            arr = pdf[KEYS4].to_numpy(dtype=np.int64)
-            assert (encode_sorted_array(arr, spec) ==
-                    pdf[OVC_COL].to_numpy()).all()
+        coded = attach_ovc(web_df, KEYS4, num_partitions=4)
+        assert assert_partition_codes(coded, KEYS4)["_pid"].nunique() > 1
 
     def test_row_count_preserved(self, spark, web_df):
         assert attach_ovc(web_df, KEYS4).count() == web_df.count()
@@ -57,6 +65,11 @@ class TestAttachOvc:
     def test_rejects_empty_keys(self, spark, web_df):
         with pytest.raises(ValueError):
             attach_ovc(web_df, [])
+
+    def test_negative_key_raises(self, spark):
+        df = spark.createDataFrame(pd.DataFrame({"k": [-7, -5, 3]}))
+        with pytest.raises(PythonException, match="out of domain"):
+            attach_ovc(df, ["k"], num_partitions=1).collect()
 
 
 class TestInstreamAggregate:
@@ -133,6 +146,10 @@ class TestInstreamDistinct:
         assert out.filter(F.col(OVC_COL) == 0).count() == 0
 
 
+def _plan(df) -> str:
+    return df._jdf.queryExecution().executedPlan().toString()
+
+
 class TestMergeJoin:
     @pytest.fixture(scope="class")
     def lr(self, spark):
@@ -151,6 +168,7 @@ class TestMergeJoin:
             "from l join r on l.k = r.k",
             l=l, r=r,
         )
+        assert_partition_codes(out, ["k"])
 
     def test_left_semi(self, spark, lr):
         l, r = lr
@@ -160,6 +178,7 @@ class TestMergeJoin:
             "select k, lv from l where k in (select k from r)",
             l=l, r=r,
         )
+        assert_partition_codes(out, ["k"])
 
     def test_left_anti(self, spark, lr):
         l, r = lr
@@ -169,6 +188,7 @@ class TestMergeJoin:
             "select k, lv from l where k not in (select k from r)",
             l=l, r=r,
         )
+        assert_partition_codes(out, ["k"])
 
     def test_left_outer(self, spark, lr):
         l, r = lr
@@ -179,6 +199,38 @@ class TestMergeJoin:
             "from l left join r on l.k = r.k",
             l=l, r=r,
         )
+        assert_partition_codes(out, ["k"])
+
+    @pytest.mark.parametrize("how, sql", [
+        ("inner", "select l.a, l.b, l.lv, r.rv from l "
+                  "join r on l.a = r.a and l.b = r.b"),
+        ("left_semi", "select a, b, lv from l where exists "
+                      "(select 1 from r where r.a = l.a and r.b = l.b)"),
+        ("left_anti", "select a, b, lv from l where not exists "
+                      "(select 1 from r where r.a = l.a and r.b = l.b)"),
+        ("left_outer", "select l.a, l.b, l.lv, r.rv from l "
+                       "left join r on l.a = r.a and l.b = r.b"),
+    ])
+    def test_two_column_key_more_partitions_than_keys(self, spark, how,
+                                                      sql):
+        # 3 x 2 distinct keys, duplicated on both sides, over 16
+        # partitions: most partitions are empty.
+        g = np.random.default_rng(12)
+        l = spark.createDataFrame(pd.DataFrame({
+            "a": g.integers(0, 3, 40), "b": g.integers(0, 2, 40),
+            "lv": np.arange(40)}))
+        r = spark.createDataFrame(pd.DataFrame({
+            "a": g.integers(1, 4, 30), "b": g.integers(0, 2, 30),
+            "rv": np.arange(30)}))
+        out = merge_join_ovc(l, r, ["a", "b"], how, num_partitions=16)
+        assert_equivalent(out.drop(OVC_COL), sql, l=l, r=r)
+        assert_partition_codes(out, ["a", "b"])
+
+    def test_plan_has_one_exchange_and_one_arrow_pass(self, spark, lr):
+        plan = _plan(merge_join_ovc(*lr, ["k"], "inner", num_partitions=4))
+        assert plan.count("rangepartitioning") == 1
+        assert plan.count("MapInArrow") == 1
+        assert "MapInPandas" not in plan
 
     def test_rejects_ambiguous_columns(self, spark):
         df = uniform_keys(spark, n=10, n_keys=5)
@@ -196,3 +248,26 @@ class TestIntersectDistinct:
             "select k from t1 intersect select k from t2",
             t1=t1, t2=t2,
         )
+        assert_partition_codes(out, ["k"])
+
+    def test_two_column_key_more_partitions_than_keys(self, spark):
+        g = np.random.default_rng(22)
+        t1 = spark.createDataFrame(pd.DataFrame({
+            "a": g.integers(0, 3, 50), "b": g.integers(0, 3, 50),
+            "v": np.arange(50)}))
+        t2 = spark.createDataFrame(pd.DataFrame({
+            "a": g.integers(1, 4, 50), "b": g.integers(0, 3, 50)}))
+        out = intersect_distinct_ovc(t1, t2, ["a", "b"], num_partitions=16)
+        assert_equivalent(
+            out.drop(OVC_COL),
+            "select a, b from t1 intersect select a, b from t2",
+            t1=t1, t2=t2,
+        )
+        assert_partition_codes(out, ["a", "b"])
+
+    def test_plan_has_one_exchange_and_one_arrow_pass(self, spark):
+        t = uniform_keys(spark, n=100, n_keys=40).select("k")
+        plan = _plan(intersect_distinct_ovc(t, t, ["k"], num_partitions=4))
+        assert plan.count("rangepartitioning") == 1
+        assert plan.count("MapInArrow") == 1
+        assert "MapInPandas" not in plan
