@@ -45,7 +45,7 @@ def test_merging_exchange(benchmark, streams, variant):
                 [iter(s) for s in streams], spec, stats))
         else:
             n = sum(1 for _ in PlainLoserTree(
-                [iter((k, p) for k, _, p in s) for s in streams], stats))
+                [iter(s) for s in streams], stats))
         return n, stats
 
     n, stats = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -11,19 +11,27 @@ If the input fits in memory the single run is yielded directly without
 spilling; otherwise runs go to disk and a final multiway merge (again a
 tree-of-losers queue, consuming the stored codes) produces the output —
 so each input row is spilled exactly once, the property Figure 3 relies
-on.
+on. Run files are removed when the output is exhausted or closed, and
+when an error interrupts run generation or the merge.
 
-``dedup=True`` enables in-sort duplicate removal [10]: duplicates are
-collapsed (with a count payload) both during run generation and during
-the merge, detected by the duplicate code alone.
+``dedup=True`` enables in-sort duplicate removal [10]: every input row
+gets the count payload 1, and ``operators.dedup.dedup_stream`` collapses
+duplicates, detected by the duplicate code alone, into one row carrying
+the summed count, both during run generation and during the merge.
+
+``external_sort_plain`` is the same sort with ``PlainLoserTree``: full
+key comparisons in every match, code 0 in every run file, the same
+spills.
 """
 from __future__ import annotations
 
+import itertools
 import os
 from typing import Iterable, Iterator, Sequence
 
+from repro.core.operators.dedup import dedup_stream
 from repro.core.ovc import OvcSpec
-from repro.core.runs import RunFile, RunWriter
+from repro.core.runs import RunFile, write_run
 from repro.core.stats import CompareStats
 from repro.core.tree_of_losers import OvcLoserTree, PlainLoserTree
 
@@ -36,33 +44,76 @@ def sort_in_memory(
 ) -> Iterator[tuple]:
     """Sort one memory load by merging single-row runs; yields
     ``(key, code, payload)`` in sorted order with output OVCs."""
-    if not keys:
+    if payloads is None:
+        payloads = [None] * len(keys)
+    return _sort_load(list(zip(keys, payloads)), spec, stats, False, False)
+
+
+def _sort_load(load: list[tuple], spec: OvcSpec,
+               stats: CompareStats | None, dedup: bool,
+               plain: bool) -> Iterator[tuple]:
+    """Sort ``(key, payload)`` rows by merging single-row runs, primed
+    at offset 0 (code 0 for the plain tree)."""
+    if not load:
         return iter(())
-    streams = [
-        [(tuple(k), spec.prime(k), payloads[i] if payloads is not None else None)]
-        for i, k in enumerate(keys)
-    ]
-    return iter(OvcLoserTree(streams, spec, stats))
+    return _merge(
+        [[(tuple(k), 0 if plain else spec.prime(k), 1 if dedup else p)]
+         for k, p in load],
+        spec, stats, dedup, plain,
+    )
 
 
-def _dedup_stream(stream: Iterable, spec: OvcSpec,
-                  counts_in: bool = False) -> Iterator[tuple]:
-    """Collapse adjacent equal keys (duplicate code) into one row whose
-    payload is the duplicate count; codes of survivors are unchanged
-    (Section 4.4). With ``counts_in`` the incoming payloads are already
-    counts (rows read back from deduplicated runs) and are summed;
-    otherwise each input row counts 1 and its payload is discarded."""
-    cur = None
-    for key, code, payload in stream:
-        n = payload if counts_in else 1
-        if cur is not None and spec.is_duplicate(code):
-            cur = (cur[0], cur[1], cur[2] + n)
-            continue
-        if cur is not None:
-            yield cur
-        cur = (key, code, n)
-    if cur is not None:
-        yield cur
+def _merge(streams: Sequence[Iterable], spec: OvcSpec,
+           stats: CompareStats | None, dedup: bool,
+           plain: bool) -> Iterator[tuple]:
+    """Tree-of-losers merge of ``(key, code, payload)`` streams. With
+    ``dedup`` the payloads are duplicate counts, and each group of
+    duplicates leaves one row carrying the group's sum."""
+    tree = (PlainLoserTree(streams, stats) if plain
+            else OvcLoserTree(streams, spec, stats))
+    return dedup_stream(tree, spec, count_payloads=True) if dedup else iter(tree)
+
+
+def _generate_runs(rows: Iterable[tuple], spec: OvcSpec, memory_rows: int,
+                   tmpdir: str, stats: CompareStats | None, dedup: bool,
+                   tag: str, plain: bool
+                   ) -> tuple[list[RunFile], Iterator[tuple] | None]:
+    if memory_rows < 1:
+        raise ValueError("memory_rows must be >= 1")
+    it = iter(rows)
+    load = list(itertools.islice(it, memory_rows))
+    peek = next(it, None) if len(load) == memory_rows else None
+    if peek is None:  # the whole input is one memory load: no spill
+        return [], _sort_load(load, spec, stats, dedup, plain)
+    it = itertools.chain([peek], it)
+    runs: list[RunFile] = []
+    try:
+        while load:
+            path = os.path.join(tmpdir, f"{tag}-{len(runs)}.arrow")
+            runs.append(write_run(
+                path, _sort_load(load, spec, stats, dedup, plain), spec, stats))
+            load = list(itertools.islice(it, memory_rows))
+    except BaseException:
+        for r in runs:
+            r.delete()
+        raise
+    return runs, None
+
+
+def _external_sort(rows: Iterable[tuple], spec: OvcSpec, memory_rows: int,
+                   tmpdir: str, stats: CompareStats | None, dedup: bool,
+                   tag: str, plain: bool) -> Iterator[tuple]:
+    runs, in_mem = _generate_runs(rows, spec, memory_rows, tmpdir, stats,
+                                  dedup, tag, plain)
+    try:
+        stream = (in_mem if in_mem is not None
+                  else _merge(runs, spec, stats, dedup, plain))
+        if plain:  # the plain sort's output carries no codes
+            stream = ((key, payload) for key, _code, payload in stream)
+        yield from stream
+    finally:
+        for r in runs:
+            r.delete()
 
 
 def generate_runs(
@@ -79,58 +130,11 @@ def generate_runs(
     Returns ``(run_files, in_memory_stream)``: if the whole input fit in
     one memory load, ``run_files`` is empty and the sorted stream is
     returned directly (no spill); otherwise all runs are on disk and the
-    second element is None.
+    second element is None. If run generation raises, the runs already
+    written are removed.
     """
-    if memory_rows < 1:
-        raise ValueError("memory_rows must be >= 1")
-    it = iter(rows)
-    runs: list[RunFile] = []
-    first_load: list[tuple] | None = None
-    any_input = False
-    n_run = 0
-    while True:
-        load = []
-        for _ in range(memory_rows):
-            try:
-                load.append(next(it))
-            except StopIteration:
-                break
-        if not load:
-            break
-        any_input = True
-        sorted_stream = sort_in_memory(
-            [r[0] for r in load], spec, stats, [r[1] for r in load]
-        )
-        if dedup:
-            sorted_stream = _dedup_stream(sorted_stream, spec)
-        if not runs and first_load is None and len(load) < memory_rows:
-            # whole input fit in memory: no spill at all
-            return [], sorted_stream
-        if first_load is not None:
-            # second load arrived: spill the buffered first load now
-            runs.append(_spill(first_load, tmpdir, tag, 0, spec, stats))
-            first_load = None
-        if not runs and first_load is None and len(load) == memory_rows:
-            # might still be the only load; buffer it until we know
-            first_load = list(sorted_stream)
-            n_run += 1
-            continue
-        runs.append(_spill(sorted_stream, tmpdir, tag, n_run, spec, stats))
-        n_run += 1
-    if first_load is not None:
-        # exactly one full memory load: still fits, return directly
-        return [], iter(first_load)
-    if not any_input:
-        return [], iter(())
-    return runs, None
-
-
-def _spill(stream: Iterable, tmpdir: str, tag: str, idx: int,
-           spec: OvcSpec, stats: CompareStats | None) -> RunFile:
-    w = RunWriter(os.path.join(tmpdir, f"{tag}-{idx}.arrow"), spec, stats)
-    for key, code, payload in stream:
-        w.write(key, code, payload)
-    return w.close()
+    return _generate_runs(rows, spec, memory_rows, tmpdir, stats, dedup,
+                          tag, False)
 
 
 def merge_runs(
@@ -141,8 +145,7 @@ def merge_runs(
 ) -> Iterator[tuple]:
     """Multiway merge of spilled runs via a tree-of-losers queue,
     consuming the stored OVCs and producing output OVCs."""
-    merged = iter(OvcLoserTree(list(runs), spec, stats))
-    return _dedup_stream(merged, spec, counts_in=True) if dedup else merged
+    return _merge(list(runs), spec, stats, dedup, False)
 
 
 def external_sort(
@@ -156,14 +159,8 @@ def external_sort(
 ) -> Iterator[tuple]:
     """Full external sort: yields ``(key, code, payload)`` sorted with
     output OVCs. Spills each row at most once."""
-    runs, in_mem = generate_runs(rows, spec, memory_rows, tmpdir, stats, dedup, tag)
-    if in_mem is not None:
-        # generate_runs already deduplicated the in-memory stream.
-        yield from in_mem
-        return
-    yield from merge_runs(runs, spec, stats, dedup)
-    for r in runs:
-        r.delete()
+    return _external_sort(rows, spec, memory_rows, tmpdir, stats, dedup,
+                          tag, False)
 
 
 def external_sort_plain(
@@ -180,39 +177,12 @@ def external_sort_plain(
     with code 0 so the I/O path is identical to the OVC variant and only
     the comparison logic differs — exactly what Figure 1/3 isolate.
     """
-    import itertools
-
     it = iter(rows)
-    runs: list[RunFile] = []
-    loads: list[list[tuple]] = []  # sorted loads buffered before first spill
-    n_run = 0
-    spec: OvcSpec | None = None
-    while True:
-        load = list(itertools.islice(it, memory_rows))
-        if not load:
-            break
-        if spec is None:
-            spec = OvcSpec(len(load[0][0]))
-        loads.append(list(PlainLoserTree([[r] for r in load], stats)))
-        if runs or len(loads) > 1:  # input is definitely external
-            while loads:
-                w = RunWriter(
-                    os.path.join(tmpdir, f"plain-{n_run}.arrow"), spec, stats
-                )
-                for key, payload in loads.pop(0):
-                    w.write(key, 0, payload)
-                runs.append(w.close())
-                n_run += 1
-    if loads:  # whole input fit in one memory load: never spilled
-        return iter(loads[0])
-    if not runs:
+    first = next(it, None)
+    if first is None:
         return iter(())
-    plain_streams = [((k, p) for k, _c, p in r) for r in runs]
-    out = PlainLoserTree(plain_streams, stats)
-
-    def _drain():
-        yield from out
-        for r in runs:
-            r.delete()
-
-    return _drain()
+    # The run files need the key arity; the plain sort has no other use
+    # for a spec.
+    spec = OvcSpec(len(first[0]))
+    return _external_sort(itertools.chain([first], it), spec, memory_rows,
+                          tmpdir, stats, False, "plain", True)

@@ -21,20 +21,21 @@ def dedup_stream(
     count_payloads: bool = False,
 ) -> Iterator[tuple]:
     """Drop rows with the duplicate code. With ``count_payloads`` the
-    surviving row's payload is the size of its duplicate group."""
+    payloads are counts and the surviving row carries its duplicate
+    group's sum (the group's size when every payload is 1)."""
     cur = None
     for key, code, payload in stream:
         if stats is not None:
             stats.rows_in += 1
         if spec.is_duplicate(code) and cur is not None:
             if count_payloads:
-                cur = (cur[0], cur[1], cur[2] + 1)
+                cur = (cur[0], cur[1], cur[2] + payload)
             continue
         if cur is not None:
             if stats is not None:
                 stats.rows_out += 1
             yield cur
-        cur = (key, code, 1 if count_payloads else payload)
+        cur = (key, code, payload)
     if cur is not None:
         if stats is not None:
             stats.rows_out += 1

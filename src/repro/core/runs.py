@@ -65,6 +65,11 @@ class RunWriter:
             self.stats.rows_spilled += len(self._buf)
         self._buf.clear()
 
+    def discard(self) -> None:
+        """Abandon a partly written run: close the file and remove it."""
+        self._sink.close()
+        os.remove(self.path)
+
     def close(self) -> "RunFile":
         self._flush()
         self._writer.close()
@@ -114,8 +119,14 @@ class RunFile:
 
 def write_run(path: str, rows: Iterable[tuple], spec: OvcSpec,
               stats: CompareStats | None = None) -> RunFile:
-    """Write an iterable of ``(key, code, payload)`` to ``path``."""
+    """Write an iterable of ``(key, code, payload)`` to ``path``. If
+    ``rows`` raises, the partial file is removed before the error
+    propagates."""
     w = RunWriter(path, spec, stats)
-    for key, code, payload in rows:
-        w.write(key, code, payload)
+    try:
+        for key, code, payload in rows:
+            w.write(key, code, payload)
+    except BaseException:
+        w.discard()
+        raise
     return w.close()

@@ -12,6 +12,8 @@ the key that last beat it; along the winner's path all entries are coded
 relative to the winner, so ``repro.core.ovc.compare_update`` applies at
 every node and most comparisons are decided by one integer compare.
 Exhausted inputs become late fences folded into the code word.
+``PlainLoserTree`` is the same tree with a full-key match: the baseline
+that Figures 1 and 3 measure against.
 
 Streams yield ``(key, code, payload)`` triples: ``key`` a tuple of ints,
 ``code`` the row's ascending OVC relative to its predecessor *within the
@@ -113,12 +115,13 @@ class OvcLoserTree:
         self._nodes[0] = cur
 
 
-class PlainLoserTree:
+class PlainLoserTree(OvcLoserTree):
     """Baseline tree-of-losers merge using full key comparisons only.
 
-    Streams yield ``(key, payload)``; output is ``(key, payload)``.
-    Every match compares keys column by column from column 0, which is
-    what OVC avoids — ``stats.col_cmps`` shows the difference.
+    Streams and output have the same ``(key, code, payload)`` shape as
+    ``OvcLoserTree``; codes pass through untouched (plain inputs carry
+    code 0). Every match compares keys column by column from column 0,
+    which is what OVC avoids — ``stats.col_cmps`` shows the difference.
     """
 
     def __init__(
@@ -126,25 +129,11 @@ class PlainLoserTree:
         streams: Sequence[Iterable],
         stats: CompareStats | None = None,
     ) -> None:
-        if not streams:
-            raise ValueError("need at least one input stream")
-        self.stats = stats
-        m = 1
-        while m < len(streams):
-            m *= 2
-        self._m = m
-        self._streams = [iter(s) for s in streams] + [iter(())] * (m - len(streams))
-        self._nodes: list[tuple | None] = [None] * m
-        self._nodes[0] = self._build(1) if m > 1 else self._fetch(0)
+        # Only the late-fence code is read from the spec; the match
+        # below recognises fences by their missing key.
+        super().__init__(streams, OvcSpec(1), stats)
 
-    def _fetch(self, leaf: int) -> tuple:
-        try:
-            key, payload = next(self._streams[leaf])
-        except StopIteration:
-            return (None, None, leaf)
-        return (key, payload, leaf)
-
-    def _play(self, a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    def _play(self, a: Entry, b: Entry) -> tuple[Entry, Entry]:
         if self.stats is not None:
             self.stats.row_cmps += 1
         if a[0] is None:
@@ -154,29 +143,3 @@ class PlainLoserTree:
         if compare_keys(a[0], b[0], self.stats) <= 0:
             return a, b
         return b, a
-
-    def _build(self, node: int) -> tuple:
-        if node >= self._m:
-            return self._fetch(node - self._m)
-        w_l = self._build(2 * node)
-        w_r = self._build(2 * node + 1)
-        winner, loser = self._play(w_l, w_r)
-        self._nodes[node] = loser
-        return winner
-
-    def __iter__(self) -> Iterator[tuple]:
-        while True:
-            winner = self._nodes[0]
-            assert winner is not None
-            if winner[0] is None:
-                return
-            yield winner[0], winner[1]
-            cur = self._fetch(winner[2])
-            node = (self._m + winner[2]) // 2
-            while node >= 1:
-                incumbent = self._nodes[node]
-                assert incumbent is not None
-                cur, loser = self._play(cur, incumbent)
-                self._nodes[node] = loser
-                node //= 2
-            self._nodes[0] = cur

@@ -67,10 +67,14 @@ def hash_aggregate(
             parts = partition_to_disk(
                 itertools.chain(head, it), arity, n_parts, tmpdir, tag, stats
             )
-            for part in parts:
-                table = _agg_in_memory(part, agg, init, arity, stats)
-                yield from table.items()
-                part.delete()
+            try:
+                for part in parts:
+                    table = _agg_in_memory(part, agg, init, arity, stats)
+                    yield from table.items()
+                    part.delete()
+            finally:  # also when the consumer stops early
+                for part in parts:
+                    part.delete()
             return
         it = iter(head)
     table = _agg_in_memory(it, agg, init, arity, stats)

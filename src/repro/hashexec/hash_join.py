@@ -57,13 +57,18 @@ def hash_join(
                 itertools.chain(head, bit), arity, n_parts, tmpdir,
                 f"{tag}-b", stats
             )
-            p_parts = partition_to_disk(
-                probe, arity, n_parts, tmpdir, f"{tag}-p", stats
-            )
-            for bp, pp in zip(b_parts, p_parts):
-                yield from _join_in_memory(bp, pp, arity, stats)
-                bp.delete()
-                pp.delete()
+            p_parts = []
+            try:
+                p_parts = partition_to_disk(
+                    probe, arity, n_parts, tmpdir, f"{tag}-p", stats
+                )
+                for bp, pp in zip(b_parts, p_parts):
+                    yield from _join_in_memory(bp, pp, arity, stats)
+                    bp.delete()
+                    pp.delete()
+            finally:  # also when the consumer stops early
+                for part in b_parts + p_parts:
+                    part.delete()
             return
         bit = iter(head)
     yield from _join_in_memory(bit, probe, arity, stats)

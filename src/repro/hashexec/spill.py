@@ -2,8 +2,11 @@
 
 Rows are hash-partitioned into F Arrow files; every written row counts
 into ``stats.rows_spilled`` (the Figure 3 currency). The row shape is
-``(key_tuple, payload_int)`` — the same physical shape the sort-based
-run files use, so both plans pay the same per-row I/O cost.
+``(key_tuple, payload_int)``: int64 key columns and an int64
+``_payload`` column. Sort-based run files (``repro.core.runs``) carry
+one more int64 column, ``_ovc``, holding each row's stored offset-value
+code (Section 4.11), so a sort spill writes 8 bytes per row more than a
+hash spill with the same keys.
 """
 from __future__ import annotations
 
@@ -56,6 +59,11 @@ class SpillPartitionWriter:
             self.stats.rows_spilled += len(self._buf)
         self._buf.clear()
 
+    def discard(self) -> None:
+        """Abandon a partly written partition: close the file and remove it."""
+        self._sink.close()
+        os.remove(self.path)
+
     def close(self) -> "SpillPartition":
         self._flush()
         self._writer.close()
@@ -105,9 +113,14 @@ def partition_to_disk(
                              arity, stats)
         for p in range(n_parts)
     ]
-    for key, payload in rows:
-        if stats is not None:
-            stats.hash_ops += 1
-            stats.col_accesses += arity
-        writers[hash(key) % n_parts].write(key, payload)
+    try:
+        for key, payload in rows:
+            if stats is not None:
+                stats.hash_ops += 1
+                stats.col_accesses += arity
+            writers[hash(key) % n_parts].write(key, payload)
+    except BaseException:
+        for w in writers:
+            w.discard()
+        raise
     return [w.close() for w in writers]

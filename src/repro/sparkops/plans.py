@@ -209,11 +209,13 @@ def sort_intersect_plan_vec(
     tmpdir: str,
 ) -> PlanResult:
     """Compiled-primitive sort plan: load-sort-spill run generation with
-    in-sort duplicate removal (duplicate detection = the OVC duplicate-
-    code mask), one merge pass (stable sort over concatenated sorted
-    runs = the R-way merge, performed by compiled code), and a
-    vectorized sorted-intersect as the merge join. Spills each input
-    row at most once, exactly like the row-wise plan."""
+    in-sort duplicate removal (a keep-mask of rows unequal to their
+    predecessor), ``np.sort`` over the concatenated runs read back in
+    place of a merge, and ``np.intersect1d`` as the join. No offset-value
+    code is computed or consumed and no R-way merge runs, so this plan
+    against ``hash_intersect_plan_vec`` compares compiled sorting with
+    compiled hashing, not OVC with hashing. Spills each input row at
+    most once, like the row-wise plan."""
     import os
 
     os.makedirs(tmpdir, exist_ok=True)

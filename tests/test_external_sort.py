@@ -1,4 +1,6 @@
 """Tests for run files, run generation, and external merge sort."""
+import os
+
 import numpy as np
 import pytest
 
@@ -52,12 +54,19 @@ class TestRunFiles:
         assert stats.rows_spilled == 5
 
     def test_delete(self, tmp_path):
-        import os
-
         path = str(tmp_path / "r.arrow")
         rf = write_run(path, [((1, 1, 1), SPEC.prime((1, 1, 1)), None)], SPEC)
         rf.delete()
         assert not os.path.exists(path)
+
+    def test_failed_write_removes_file(self, tmp_path):
+        def rows():
+            yield ((1, 1, 1), SPEC.prime((1, 1, 1)), None)
+            raise RuntimeError("input failed")
+
+        with pytest.raises(RuntimeError):
+            write_run(str(tmp_path / "r.arrow"), rows(), SPEC)
+        assert os.listdir(tmp_path) == []
 
 
 class TestSortInMemory:
@@ -209,3 +218,39 @@ class TestExternalSortPlain:
                                               str(tmp_path / "b"), s_plain)]
         assert a == b
         assert s_ovc.col_cmps < s_plain.col_cmps
+
+
+def _sort(plain, rows, mem, tmpdir):
+    if plain:
+        return external_sort_plain(rows, mem, tmpdir)
+    return external_sort(rows, SPEC, mem, tmpdir)
+
+
+class TestRunFilesRemoved:
+    """No run file outlives the sort: not on error, not on early close."""
+
+    def test_key_out_of_domain_after_three_runs(self, tmp_path):
+        spec = OvcSpec(2, 100)
+        rows = [((i % 7, i % 5), i) for i in range(150)] + [((-1, 0), 150)]
+        with pytest.raises(ValueError):
+            list(external_sort(iter(rows), spec, 50, str(tmp_path)))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_input_error_during_run_generation(self, tmp_path, plain):
+        def rows():
+            yield from random_rows(np.random.default_rng(0), 150)
+            raise RuntimeError("input failed")
+
+        with pytest.raises(RuntimeError):
+            list(_sort(plain, rows(), 50, str(tmp_path)))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_closed_after_first_row(self, tmp_path, plain):
+        rows = random_rows(np.random.default_rng(1), 150)
+        out = _sort(plain, iter(rows), 50, str(tmp_path))
+        next(out)
+        assert len(os.listdir(tmp_path)) == 3
+        out.close()
+        assert os.listdir(tmp_path) == []

@@ -1,4 +1,5 @@
 """Tests for the hash-based baselines (spill, hash agg, hash join)."""
+import os
 from collections import Counter
 
 import numpy as np
@@ -31,6 +32,15 @@ class TestSpill:
         for q, p in enumerate(parts):
             for key, _ in p:
                 assert hash(key) % 4 == q
+
+    def test_input_error_removes_partitions(self, tmp_path):
+        def rows():
+            yield from rand_rows(np.random.default_rng(0), 100, 10)
+            raise RuntimeError("input failed")
+
+        with pytest.raises(RuntimeError):
+            partition_to_disk(rows(), 2, 4, str(tmp_path), "t")
+        assert os.listdir(tmp_path) == []
 
     def test_none_payload_roundtrip(self, tmp_path):
         parts = partition_to_disk(iter([((1, 2), None)]), 2, 2,
@@ -120,3 +130,24 @@ class TestHashJoin:
         list(hash_join(iter(build), iter(probe), 3, 1000, str(tmp_path),
                        stats, n_build_hint=100))
         assert stats.col_accesses == 200 * 3
+
+
+class TestSpillFilesRemoved:
+    """Closing a spilling hash operator early removes its partitions."""
+
+    def test_hash_distinct_closed_after_first_row(self, tmp_path):
+        rows = rand_rows(np.random.default_rng(5), 5000, 1000)
+        out = hash_distinct(iter(rows), 2, 100, str(tmp_path))
+        next(out)
+        assert os.listdir(tmp_path)
+        out.close()
+        assert os.listdir(tmp_path) == []
+
+    def test_hash_join_closed_after_first_row(self, tmp_path):
+        rng = np.random.default_rng(6)
+        build, probe = rand_rows(rng, 500, 20), rand_rows(rng, 500, 20)
+        out = hash_join(iter(build), iter(probe), 2, 100, str(tmp_path))
+        next(out)
+        assert os.listdir(tmp_path)
+        out.close()
+        assert os.listdir(tmp_path) == []

@@ -132,8 +132,12 @@ class TestDedup:
 
     def test_counts(self):
         keys = [(1, 1), (1, 1), (2, 0), (2, 0), (2, 0), (3, 5)]
-        out = list(dedup_stream(coded(keys, SPEC2), SPEC2, count_payloads=True))
+        out = list(dedup_stream(coded(keys, SPEC2, payloads=[1] * 6), SPEC2,
+                                count_payloads=True))
         assert [p for _, _, p in out] == [2, 3, 1]
+        out = list(dedup_stream(coded(keys, SPEC2, payloads=[2, 1, 1, 4, 1, 7]),
+                                SPEC2, count_payloads=True))
+        assert [p for _, _, p in out] == [3, 6, 7]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_matches_set_semantics(self, seed):

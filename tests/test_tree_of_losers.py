@@ -99,9 +99,9 @@ class TestPlainLoserTree:
         for _ in range(n_streams):
             n = int(rng.integers(0, 40))
             keys = sorted(tuple(int(x) for x in rng.integers(0, 5, 3)) for _ in range(n))
-            streams.append([(k, None) for k in keys])
-        expect = sorted(k for s in streams for k, _ in s)
-        got = [k for k, _ in PlainLoserTree(streams)]
+            streams.append([(k, 0, None) for k in keys])
+        expect = sorted(k for s in streams for k, _, _ in s)
+        got = [k for k, _, _ in PlainLoserTree(streams)]
         assert got == expect
 
     def test_plain_counts_more_column_comparisons_than_ovc(self):
@@ -109,10 +109,10 @@ class TestPlainLoserTree:
         rng = np.random.default_rng(3)
         spec = OvcSpec(arity=6, base=10)
         streams = random_sorted_streams(rng, 8, spec, max_len=200, dom=2)
-        plain_streams = [[(k, None) for k, _, _ in s] for s in streams]
+        plain_streams = [[(k, 0, None) for k, _, _ in s] for s in streams]
         s_ovc, s_plain = CompareStats(), CompareStats()
         out_o = [k for k, _, _ in OvcLoserTree(streams, spec, s_ovc)]
-        out_p = [k for k, _ in PlainLoserTree(plain_streams, s_plain)]
+        out_p = [k for k, _, _ in PlainLoserTree(plain_streams, s_plain)]
         assert out_o == out_p
         assert s_ovc.col_cmps < s_plain.col_cmps
 
